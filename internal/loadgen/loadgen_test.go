@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -182,29 +181,5 @@ func TestOpenLoopEndToEnd(t *testing.T) {
 	}
 	if len(decoded.Classes) == 0 {
 		t.Fatal("result JSON carries no classes")
-	}
-}
-
-// TestClosedLoopAgainstService exercises the extracted closed-loop
-// generator (the a4serve -loadgen shim's engine) end to end, pinning the
-// key=value lines scripts/bench.sh greps.
-func TestClosedLoopAgainstService(t *testing.T) {
-	svc := service.New(service.Config{Workers: 4, CacheEntries: 64})
-	t.Cleanup(svc.Close)
-	srv := httptest.NewServer(service.NewMux(svc, func() any { return svc.Stats() }, nil))
-	t.Cleanup(srv.Close)
-
-	var out, errw bytes.Buffer
-	code := ClosedLoop(ClosedConfig{
-		URL: srv.URL, N: 20, Clients: 4, FreshFrac: 0.25, Nonce: 77,
-		Out: &out, Errw: &errw,
-	})
-	if code != 0 {
-		t.Fatalf("closed loop exit %d: %s%s", code, out.String(), errw.String())
-	}
-	for _, key := range []string{"service_total_rps=", "service_cached_rps=", "loadgen_p50_ms=", "loadgen_p99_ms="} {
-		if !strings.Contains(out.String(), key) {
-			t.Errorf("output missing %q:\n%s", key, out.String())
-		}
 	}
 }

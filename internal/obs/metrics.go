@@ -78,31 +78,29 @@ func (e *Expo) HistVals(name, labels string, h *stats.Histogram, scale float64) 
 	e.Val(name+"_count", labels, float64(h.Count()))
 }
 
-// HTTPMetrics records per-endpoint request durations into sharded
-// histograms and exposes them as one labeled family. Timed resolves an
-// endpoint's shard set once at mux-build time, so the per-request record
-// is one sharded Observe — no registry lock, no map probe. WriteProm
-// merges shards at scrape time; endpoints registered but never hit are
-// skipped, so the exposition is identical to the old lazily-registered
-// form.
+// HTTPMetrics records per-endpoint request durations into histograms and
+// exposes them as one labeled family. Timed resolves an endpoint's
+// histogram once at mux-build time, so the per-request record is one
+// Observe under mu, with no map probe. WriteProm runs on clones, so a
+// scrape holds mu only for the copy; endpoints registered but never hit
+// are skipped.
 type HTTPMetrics struct {
 	mu    sync.Mutex
 	order []string
-	hists map[string]*stats.ShardedHistogram
+	hists map[string]*stats.Histogram
 }
 
 // NewHTTPMetrics returns an empty recorder.
 func NewHTTPMetrics() *HTTPMetrics {
-	return &HTTPMetrics{hists: make(map[string]*stats.ShardedHistogram)}
+	return &HTTPMetrics{hists: make(map[string]*stats.Histogram)}
 }
 
-// handle returns endpoint's histogram, registering it on first use.
-func (m *HTTPMetrics) handle(endpoint string) *stats.ShardedHistogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// handleLocked returns endpoint's histogram, registering it on first use.
+// The caller holds mu.
+func (m *HTTPMetrics) handleLocked(endpoint string) *stats.Histogram {
 	h, ok := m.hists[endpoint]
 	if !ok {
-		h = stats.NewShardedHistogram()
+		h = stats.NewHistogram()
 		m.hists[endpoint] = h
 		m.order = append(m.order, endpoint)
 	}
@@ -111,19 +109,21 @@ func (m *HTTPMetrics) handle(endpoint string) *stats.ShardedHistogram {
 
 // Observe records one request's duration under its endpoint label.
 func (m *HTTPMetrics) Observe(endpoint string, d time.Duration) {
-	m.handle(endpoint).Observe(d.Microseconds())
+	m.mu.Lock()
+	m.handleLocked(endpoint).Observe(d.Microseconds())
+	m.mu.Unlock()
 }
 
 // Quantile returns one endpoint's latency quantile in microseconds (0 when
 // the endpoint was never hit).
 func (m *HTTPMetrics) Quantile(endpoint string, p float64) float64 {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	h, ok := m.hists[endpoint]
-	m.mu.Unlock()
 	if !ok {
 		return 0
 	}
-	return h.Snapshot().Quantile(p)
+	return h.Quantile(p)
 }
 
 // WriteProm writes the a4_http_request_duration_seconds family, one label
@@ -131,15 +131,15 @@ func (m *HTTPMetrics) Quantile(endpoint string, p float64) float64 {
 func (m *HTTPMetrics) WriteProm(w io.Writer) {
 	m.mu.Lock()
 	order := append([]string(nil), m.order...)
-	merged := make(map[string]*stats.Histogram, len(m.hists))
+	clones := make(map[string]*stats.Histogram, len(m.hists))
 	for ep, h := range m.hists {
-		merged[ep] = h.Snapshot()
+		clones[ep] = h.Clone()
 	}
 	m.mu.Unlock()
 	var e *Expo
 	const name = "a4_http_request_duration_seconds"
 	for _, ep := range order {
-		h := merged[ep]
+		h := clones[ep]
 		if h.Count() == 0 {
 			continue // registered by Timed but never hit: keep it out of the scrape
 		}
@@ -154,10 +154,15 @@ func (m *HTTPMetrics) WriteProm(w io.Writer) {
 // Timed wraps an HTTP handler to record its duration under endpoint. The
 // histogram is resolved here, once, not per request.
 func (m *HTTPMetrics) Timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	hist := m.handle(endpoint)
+	m.mu.Lock()
+	hist := m.handleLocked(endpoint)
+	m.mu.Unlock()
 	return func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
 		h(w, req)
-		hist.Observe(time.Since(start).Microseconds())
+		d := time.Since(start).Microseconds()
+		m.mu.Lock()
+		hist.Observe(d)
+		m.mu.Unlock()
 	}
 }

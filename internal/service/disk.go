@@ -6,6 +6,7 @@ import (
 
 	"a4sim/internal/codec"
 	"a4sim/internal/harness"
+	"a4sim/internal/obs"
 	"a4sim/internal/scenario"
 	"a4sim/internal/store"
 )
@@ -80,8 +81,9 @@ func decodeSnapWrap(data []byte) (measured float64, spec, snap []byte, err error
 // actually advanced the prefix's state, mirrors it to the durable store.
 // The disk write is best-effort and ordered after the memory decision;
 // concurrent advances can at worst leave disk one step behind memory, which
-// costs re-simulation after a restart, never a wrong result.
-func (s *Service) depositSnap(prefix string, snap *harness.Snapshot, measured float64, spec []byte) {
+// costs re-simulation after a restart, never a wrong result. The encode and
+// the write are timed as tr's store_write span.
+func (s *Service) depositSnap(prefix string, snap *harness.Snapshot, measured float64, spec []byte, tr *obs.Trace) {
 	if s.snaps == nil {
 		return
 	}
@@ -89,6 +91,8 @@ func (s *Service) depositSnap(prefix string, snap *harness.Snapshot, measured fl
 	if !advanced || s.disk == nil {
 		return
 	}
+	sw := tr.Begin("store_write")
+	defer sw.End()
 	data, err := snap.Encode()
 	if err != nil {
 		return
@@ -183,6 +187,6 @@ func (s *Service) InstallSnapshot(prefix string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.depositSnap(prefix, snap, measured, canon)
+	s.depositSnap(prefix, snap, measured, canon, nil)
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"a4sim/internal/obs"
 	"a4sim/internal/scenario"
 	"a4sim/internal/store"
 )
@@ -120,6 +121,34 @@ func TestRestartExtendsPreCrashSnapshot(t *testing.T) {
 	}
 	if ext.Hash != want.Hash || !bytes.Equal(ext.Report, want.Report) {
 		t.Fatal("extended-from-disk report differs from a from-scratch run")
+	}
+}
+
+// TestSnapshotSpillTraced: an execution with a store spills its warm
+// snapshot and then its result objects, and both writes are timed as
+// store_write spans on the request's trace, after the measure span.
+func TestSnapshotSpillTraced(t *testing.T) {
+	svc := New(Config{Workers: 1, Store: openStore(t, t.TempDir())})
+	defer svc.Close()
+	tr := obs.NewTrace("spill")
+	if _, err := svc.SubmitTraced(diskSpec(13), tr); err != nil {
+		t.Fatal(err)
+	}
+	var measureEnd int64
+	var writes []obs.Span
+	for _, sp := range tr.Snapshot() {
+		switch sp.Name {
+		case "measure":
+			measureEnd = sp.StartUs + sp.DurUs
+		case "store_write":
+			writes = append(writes, sp)
+		}
+	}
+	if len(writes) != 2 {
+		t.Fatalf("got %d store_write spans, want 2 (snapshot, then results): %v", len(writes), tr.Snapshot())
+	}
+	if writes[0].StartUs < measureEnd {
+		t.Errorf("snapshot spill starts at %dus, before measure ends at %dus", writes[0].StartUs, measureEnd)
 	}
 }
 

@@ -62,7 +62,9 @@ func WriteStatsProm(w io.Writer, rows []LabeledStats) {
 // occupancy. The mux appends its own per-endpoint request histograms.
 func (s *Service) WriteMetrics(w io.Writer) {
 	WriteStatsProm(w, []LabeledStats{{Stats: s.Stats()}})
-	qw := s.queueWait.Snapshot()
+	s.qwmu.Lock()
+	qw := s.queueWait.Clone()
+	s.qwmu.Unlock()
 	e := obs.NewExpo(w)
 	e.Hist("a4_queue_wait_seconds", "", qw, 1e6)
 	e.Family("a4_traces", "gauge")

@@ -9,10 +9,10 @@
 // Concurrency model (DESIGN.md §17): the serving path holds no global
 // lock. The job queue, the in-flight flight map, and the result cache each
 // have their own lock; the counters are atomics snapshotted at /stats
-// scrape time; the queue-wait histogram is sharded. The lock-ordering rule
-// is flat: fmu may be held while taking the cache's lock, and nothing else
-// nests — qmu, the cache lock, and the snapshot/store/trace locks are all
-// leaves.
+// scrape time; the queue-wait histogram has its own mutex. The
+// lock-ordering rule is flat: fmu may be held while taking the cache's
+// lock, and nothing else nests — qmu, the cache lock, the queue-wait lock,
+// and the snapshot/store/trace locks are all leaves.
 package service
 
 import (
@@ -162,8 +162,7 @@ type Service struct {
 	fmu      sync.Mutex
 	inflight map[string]*flight
 
-	// cache is the result LRU; internally synchronized, read path never
-	// blocks on writers (sync.RWMutex + atomic recency stamps).
+	// cache is the result LRU; internally synchronized.
 	cache *lruCache
 
 	// memo maps exact request body bytes to the content hash they parse
@@ -183,9 +182,9 @@ type Service struct {
 	// the service runs memory-only.
 	disk *store.Store
 
-	// queueWait records each job's enqueue-to-start wait (µs); sharded so
-	// concurrent job starts don't contend, merged at scrape time.
-	queueWait *stats.ShardedHistogram
+	// queueWait records each job's enqueue-to-start wait (µs) under qwmu.
+	qwmu      sync.Mutex
+	queueWait *stats.Histogram
 	// traces retains finished request traces for GET /trace/<id>; streams
 	// fans live series rows out to GET /series/<hash>/stream subscribers.
 	// Both have their own (short-hold) locks.
@@ -214,7 +213,7 @@ func New(cfg Config) *Service {
 		cache:     newLRUCache(entries),
 		memo:      newBodyMemo(),
 		disk:      cfg.Store,
-		queueWait: stats.NewShardedHistogram(),
+		queueWait: stats.NewHistogram(),
 		traces:    obs.NewRing(cfg.TraceEntries),
 		streams:   obs.NewSeriesHub(),
 	}
@@ -418,7 +417,9 @@ func (s *Service) submit(sp *scenario.Spec, tr *obs.Trace) (Result, error) {
 		wait := time.Since(enqueued)
 		s.ctr.queued.Add(-1)
 		s.ctr.executions.Add(1)
+		s.qwmu.Lock()
 		s.queueWait.Observe(wait.Microseconds())
+		s.qwmu.Unlock()
 		// A run that records a series streams it: the publisher is live from
 		// before the first simulated second, so a subscriber attaching
 		// mid-run replays from row 0.
@@ -626,7 +627,7 @@ func (s *Service) execute(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) 
 		m := tr.Begin("measure")
 		sc.Measure(run.MeasureSec - measured)
 		m.End()
-		s.depositSnap(prefix, sc.Snapshot(), run.MeasureSec, spec)
+		s.depositSnap(prefix, sc.Snapshot(), run.MeasureSec, spec, tr)
 		return scenario.FromResult(run, hash, sc.EndMeasure()), tlog.Events(), tlog.Dropped, nil
 	}
 	sc, err := run.Start()
@@ -643,7 +644,7 @@ func (s *Service) execute(sp *scenario.Spec, tr *obs.Trace, pub *obs.SeriesPub) 
 	m.End()
 	// Snapshot before closing the window: the stored state must be
 	// continuable, and EndMeasure only reads the accumulators.
-	s.depositSnap(prefix, sc.Snapshot(), run.MeasureSec, canon)
+	s.depositSnap(prefix, sc.Snapshot(), run.MeasureSec, canon, tr)
 	return scenario.FromResult(run, hash, sc.EndMeasure()), tlog.Events(), tlog.Dropped, nil
 }
 
@@ -839,24 +840,20 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// lruCache is the result cache: an RWMutex-guarded map whose entries are
-// immutable once published (a re-put replaces the entry object), plus an
-// atomic recency stamp per entry. The hot read path takes only the read
-// lock — it never reorders a list or otherwise writes shared state, so
-// concurrent cache hits proceed in parallel and never block behind one
-// another. Eviction (rare: one candidate scan per insert over capacity)
-// happens under the write lock by discarding the minimum-stamp entry —
-// exact LRU semantics, different bookkeeping.
+// lruCache is the result cache: a mutex-guarded map plus recency list,
+// the same shape as snapStore. Entries are immutable once published (a
+// re-put replaces the entry object), so callers read them outside the lock.
 type lruCache struct {
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	cap   int
-	clock atomic.Uint64 // global recency stamp source
-	items map[string]*lruEntry
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 }
 
-// lruEntry is one cached result. All byte fields are immutable after the
-// entry is published; only the recency stamp is written on reads.
+// lruEntry is one cached result. All fields are immutable after the entry
+// is published.
 type lruEntry struct {
+	key     string
 	data    []byte
 	spec    []byte // canonical spec encoding, for Extend
 	series  []byte // canonical series encoding, for GET /series/<hash> (nil when not recorded)
@@ -865,8 +862,6 @@ type lruEntry struct {
 	// events is the controller event log captured when this entry executed
 	// here; nil for entries rehydrated from disk (logs are not spilled).
 	events *eventLog
-
-	used atomic.Uint64 // recency stamp; higher = more recently used
 }
 
 // eventLog is one execution's retained controller events plus how many its
@@ -877,34 +872,33 @@ type eventLog struct {
 }
 
 func newLRUCache(capEntries int) *lruCache {
-	return &lruCache{cap: capEntries, items: make(map[string]*lruEntry)}
+	return &lruCache{cap: capEntries, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// touch refreshes an entry's recency. Stamps come from one atomic clock,
-// so concurrent touches race only over which of two adjacent stamps wins —
-// either order is a correct LRU history.
-func (c *lruCache) touch(e *lruEntry) {
-	e.used.Store(c.clock.Add(1))
+// lookup returns the entry under key, moving it to the front when touch is
+// set.
+func (c *lruCache) lookup(key string, touch bool) (*lruEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	if touch {
+		c.ll.MoveToFront(el)
+	}
+	return el.Value.(*lruEntry), true
 }
 
 // get returns the entry under key, refreshing recency.
 func (c *lruCache) get(key string) (*lruEntry, bool) {
-	c.mu.RLock()
-	e, ok := c.items[key]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	c.touch(e)
-	return e, true
+	return c.lookup(key, true)
 }
 
 // specOf returns the canonical spec indexed under key without touching
 // recency (an Extend should not pin its source entry hot).
 func (c *lruCache) specOf(key string) ([]byte, bool) {
-	c.mu.RLock()
-	e, ok := c.items[key]
-	c.mu.RUnlock()
+	e, ok := c.lookup(key, false)
 	if !ok {
 		return nil, false
 	}
@@ -913,9 +907,7 @@ func (c *lruCache) specOf(key string) ([]byte, bool) {
 
 // has reports whether key is resident, without touching recency.
 func (c *lruCache) has(key string) bool {
-	c.mu.RLock()
-	_, ok := c.items[key]
-	c.mu.RUnlock()
+	_, ok := c.lookup(key, false)
 	return ok
 }
 
@@ -923,72 +915,67 @@ func (c *lruCache) has(key string) bool {
 // recency like get: series retrieval is result traffic, and a series-hot
 // entry should survive eviction exactly as long as a report-hot one.
 func (c *lruCache) seriesOf(key string) ([]byte, bool) {
-	c.mu.RLock()
-	e, ok := c.items[key]
-	c.mu.RUnlock()
-	if !ok || e.series == nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
 		return nil, false
 	}
-	c.touch(e)
+	e := el.Value.(*lruEntry)
+	if e.series == nil {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
 	return e.series, true
-}
-
-// put publishes a result under key and returns the resident entry. An
-// existing entry is replaced wholesale (entries are immutable), keeping
-// its event log when the incoming one is nil — a disk rehydration must not
-// erase the executed-here log.
-func (c *lruCache) put(key string, data, spec, series []byte, events *eventLog) *lruEntry {
-	e := &lruEntry{
-		data:    data,
-		spec:    spec,
-		series:  series,
-		hitBody: encodeResultEnvelope(key, true, data),
-		events:  events,
-	}
-	c.touch(e)
-	c.mu.Lock()
-	if old, ok := c.items[key]; ok && events == nil {
-		e.events = old.events
-	}
-	c.items[key] = e
-	for len(c.items) > c.cap {
-		c.evictOldestLocked()
-	}
-	c.mu.Unlock()
-	return e
-}
-
-// evictOldestLocked discards the minimum-stamp entry. O(entries), but runs
-// only when an insert exceeds capacity — once per cached execution at
-// steady state, against a capped (default 256) map.
-func (c *lruCache) evictOldestLocked() {
-	var oldestKey string
-	oldest := uint64(math.MaxUint64)
-	for k, e := range c.items {
-		if u := e.used.Load(); u < oldest {
-			oldest = u
-			oldestKey = k
-		}
-	}
-	delete(c.items, oldestKey)
 }
 
 // eventsOf returns the controller event log captured at key's execution,
 // without touching recency (event retrieval is diagnostics, not serving).
 func (c *lruCache) eventsOf(key string) ([]trace.Event, int64, bool) {
-	c.mu.RLock()
-	e, ok := c.items[key]
-	c.mu.RUnlock()
+	e, ok := c.lookup(key, false)
 	if !ok || e.events == nil {
 		return nil, 0, false
 	}
 	return e.events.events, e.events.dropped, true
 }
 
+// put publishes a result under key as the most recently used entry and
+// returns it, evicting from the back beyond capacity. An existing entry is
+// replaced wholesale (entries are immutable), keeping its event log when
+// the incoming one is nil — a disk rehydration must not erase the
+// executed-here log.
+func (c *lruCache) put(key string, data, spec, series []byte, events *eventLog) *lruEntry {
+	e := &lruEntry{
+		key:     key,
+		data:    data,
+		spec:    spec,
+		series:  series,
+		hitBody: encodeResultEnvelope(key, true, data),
+		events:  events,
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		if events == nil {
+			e.events = el.Value.(*lruEntry).events
+		}
+		el.Value = e
+		c.ll.MoveToFront(el)
+		return e
+	}
+	c.items[key] = c.ll.PushFront(e)
+	for c.ll.Len() > c.cap {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*lruEntry).key)
+	}
+	return e
+}
+
 func (c *lruCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.items)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
 }
 
 // bodyMemo is a bounded map from exact request-body bytes to the content

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"a4sim/internal/scenario"
+	"a4sim/internal/trace"
 )
 
 // testSpec is a fast-running scenario (high rate scale, short windows).
@@ -332,16 +333,114 @@ func TestLRUUnit(t *testing.T) {
 	if want := string(encodeResultEnvelope("a", true, []byte("1"))); string(e.hitBody) != want {
 		t.Errorf("hitBody = %q, want %q", e.hitBody, want)
 	}
+
+	// resident lists which of keys are still cached, probing with has so
+	// the probe itself does not reorder anything.
+	resident := func(c *lruCache, keys ...string) string {
+		var out []byte
+		for _, k := range keys {
+			if c.has(k) {
+				out = append(out, k...)
+			}
+		}
+		return string(out)
+	}
+
+	// seriesOf refreshes recency like get; specOf, has and eventsOf do not.
+	c = newLRUCache(2)
+	c.put("a", []byte("1"), []byte("sa"), []byte("ser-a"), nil)
+	c.put("b", []byte("2"), []byte("sb"), nil, nil)
+	if ser, ok := c.seriesOf("a"); !ok || string(ser) != "ser-a" {
+		t.Fatalf("seriesOf(a) = %q, %v", ser, ok)
+	}
+	c.put("c", []byte("3"), []byte("sc"), nil, nil)
+	if got := resident(c, "a", "b", "c"); got != "ac" {
+		t.Errorf("after seriesOf(a): resident %q, want %q (b evicted)", got, "ac")
+	}
+	c = newLRUCache(2)
+	c.put("a", []byte("1"), []byte("sa"), nil, &eventLog{dropped: 1})
+	c.put("b", []byte("2"), []byte("sb"), nil, nil)
+	if spec, ok := c.specOf("a"); !ok || string(spec) != "sa" {
+		t.Fatalf("specOf(a) = %q, %v", spec, ok)
+	}
+	if _, dropped, ok := c.eventsOf("a"); !ok || dropped != 1 {
+		t.Fatalf("eventsOf(a) = %d, %v", dropped, ok)
+	}
+	c.has("a")
+	c.put("c", []byte("3"), []byte("sc"), nil, nil)
+	if got := resident(c, "a", "b", "c"); got != "bc" {
+		t.Errorf("after specOf/eventsOf/has(a): resident %q, want %q (a evicted)", got, "bc")
+	}
+
+	// A re-put with nil events keeps the executed-here log and replaces the
+	// bytes; the entry published before stays as it was.
+	c = newLRUCache(2)
+	log := &eventLog{events: []trace.Event{{Subject: "x"}}, dropped: 2}
+	first := c.put("a", []byte("old"), []byte("sa"), nil, log)
+	second := c.put("a", []byte("new"), []byte("sa2"), []byte("ser"), nil)
+	if second.events != log {
+		t.Error("re-put with nil events dropped the event log")
+	}
+	if events, dropped, ok := c.eventsOf("a"); !ok || len(events) != 1 || dropped != 2 {
+		t.Errorf("eventsOf after re-put = %v, %d, %v", events, dropped, ok)
+	}
+	if e, _ := c.get("a"); e != second || string(e.data) != "new" || string(e.spec) != "sa2" || string(e.series) != "ser" {
+		t.Errorf("re-put did not replace the entry: %+v", e)
+	}
+	if want := string(encodeResultEnvelope("a", true, []byte("new"))); string(second.hitBody) != want {
+		t.Errorf("re-put hitBody = %q, want %q", second.hitBody, want)
+	}
+	if string(first.data) != "old" || string(first.hitBody) != string(encodeResultEnvelope("a", true, []byte("old"))) {
+		t.Error("re-put mutated the previously published entry")
+	}
+	if c.len() != 1 {
+		t.Errorf("len after re-put = %d, want 1", c.len())
+	}
+
+	// Eviction removes exactly the least recently used key.
+	c = newLRUCache(1)
+	c.put("a", []byte("1"), nil, nil, nil)
+	c.put("b", []byte("2"), nil, nil, nil)
+	if got := resident(c, "a", "b"); got != "b" || c.len() != 1 {
+		t.Errorf("capacity 1: resident %q (len %d), want %q", got, c.len(), "b")
+	}
+	c = newLRUCache(3)
+	for _, k := range []string{"a", "b", "c"} {
+		c.put(k, []byte(k), nil, nil, nil)
+	}
+	c.get("a") // recency, oldest first: b c a
+	c.put("d", []byte("d"), nil, nil, nil)
+	if got := resident(c, "a", "b", "c", "d"); got != "acd" {
+		t.Errorf("capacity 3, first eviction: resident %q, want %q", got, "acd")
+	}
+	c.seriesOf("c") // no series stored, so recency is unchanged: c a d
+	c.put("e", []byte("e"), nil, nil, nil)
+	if got := resident(c, "a", "b", "c", "d", "e"); got != "ade" {
+		t.Errorf("capacity 3, second eviction: resident %q, want %q", got, "ade")
+	}
+	if c.len() != 3 {
+		t.Errorf("capacity 3: len = %d", c.len())
+	}
 }
 
 func TestSubmitBackpressure(t *testing.T) {
 	svc := New(Config{Workers: 1, MaxQueue: 1})
 	defer svc.Close()
 
-	// Fill the queue without signalling, so the worker stays asleep (Go
-	// conds have no spurious wakeups) and the state is deterministic.
+	// Park the single worker on a job that blocks until released, so the
+	// queue filled below cannot drain whichever order the goroutines run in.
+	started, release := make(chan struct{}), make(chan struct{})
 	svc.qmu.Lock()
-	svc.queue = append(svc.queue, func() {})
+	svc.queue = append(svc.queue, func() { close(started); <-release })
+	svc.work.Signal()
+	svc.qmu.Unlock()
+	<-started
+	defer close(release)
+
+	svc.qmu.Lock()
+	for len(svc.queue) < svc.maxQueue {
+		svc.queue = append(svc.queue, func() {})
+	}
 	svc.qmu.Unlock()
 
 	if _, err := svc.Submit(testSpec(1)); err != ErrBusy {

@@ -43,6 +43,45 @@ func mixedActors() []*traceActor {
 	}
 }
 
+// runEpochsRef is the reference dispatcher: the straight-line loop whose
+// Step call sequence defines the engine's semantics. RunEpochsBatched must
+// reproduce it exactly, with the bookkeeping amortized. Like it, a pending
+// Stop from before the call is discarded.
+func (e *Engine) runEpochsRef(epochs int) {
+	e.stopped = false
+	budgets := make([]int, len(e.actors))
+	for ep := 0; ep < epochs && !e.stopped; ep++ {
+		// Compute per-epoch budgets with fractional carry, so low-rate
+		// actors still make progress over multiple epochs.
+		for i, a := range e.actors {
+			want := a.OpsPerSecond(e.now)/EpochsPerSecond + e.carry[i]
+			b := int(want)
+			e.carry[i] = want - float64(b)
+			budgets[i] = b
+		}
+		// Interleave: divide each actor's budget across slices.
+		for s := 0; s < InterleaveSlices; s++ {
+			sliceTick := e.now + Tick(s*TicksPerEpoch/InterleaveSlices)
+			for i, a := range e.actors {
+				share := budgets[i] / InterleaveSlices
+				if s < budgets[i]%InterleaveSlices {
+					share++
+				}
+				if share > 0 {
+					a.Step(sliceTick, share)
+				}
+			}
+		}
+		e.now += TicksPerEpoch
+		if e.now%TicksPerSecond == 0 {
+			for _, o := range e.observers {
+				o.OnSecond(e.now)
+			}
+			e.ffSkipped = 0
+		}
+	}
+}
+
 // TestRunEpochsBatchedEquivalence pins the batched dispatcher to the
 // reference loop: the Step call sequence (actor order, slice times, budgets),
 // observer call times, final clock, and subsequent behaviour (which depends
@@ -63,7 +102,7 @@ func TestRunEpochsBatchedEquivalence(t *testing.T) {
 	bat.AddObserver(FuncObserver(func(now Tick) { batSec = append(batSec, now) }))
 
 	for _, epochs := range []int{137, 1500, 863, 2000} {
-		ref.RunEpochs(epochs)
+		ref.runEpochsRef(epochs)
 		bat.RunEpochsBatched(epochs)
 	}
 
@@ -246,7 +285,7 @@ func BenchmarkDispatch(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.RunEpochs(EpochsPerSecond)
+				e.runEpochsRef(EpochsPerSecond)
 			}
 		})
 		b.Run(sh.name+"/batched", func(b *testing.B) {
